@@ -147,8 +147,7 @@ REGISTRY: Dict[str, DiagnosticInfo] = {
               "a truncated, corrupted or version-skewed kernel-cache disk "
               "entry was quarantined and treated as a miss"),
         _info("RS005", "kernel execution failed", "error",
-              "a compiled kernel's entry point was missing or raised "
-              "mid-execution"),
+              "a compiled kernel raised mid-execution"),
         _info("RS006", "execution watchdog timeout", "error",
               "an execution exceeded its wall-clock budget and was "
               "cancelled by the watchdog"),

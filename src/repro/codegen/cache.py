@@ -8,8 +8,10 @@ objects under a *content address*:
 
     fingerprint = sha256(printed IR || entry || options key || backend version)
 
-so a hit is possible only when the input module, the compilation options
-and the emitter that produced the cached source are all identical. Stale
+where the printed IR is the *unlowered* module a compile starts from, so
+a hit skips the pass pipeline as well as emission. A hit is possible
+only when the input module, the compilation options and the emitter
+that produced the cached source are all identical. Stale
 entries are invalidated structurally — a changed emitter version changes
 every fingerprint, so old entries simply never match again.
 

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.codegen.python_backend import BackendError, emit_module
 from repro.ir.module import ModuleOp
 from repro.runtime.resilience.faults import maybe_inject
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.codegen.cache import KernelCache
 
 
 class CompiledKernel:
@@ -73,31 +70,14 @@ def compile_module(module: ModuleOp) -> Dict[str, Any]:
     return namespace
 
 
-def compile_function(
-    module: ModuleOp,
-    entry: str = "kernel",
-    cache: Optional["KernelCache"] = None,
-    options_key: str = "",
-) -> CompiledKernel:
-    """Emit the module and return the named function as a kernel.
+def compile_function(module: ModuleOp, entry: str = "kernel") -> CompiledKernel:
+    """Emit the lowered module and return the named function as a kernel.
 
-    With ``cache`` set, the lowered module's printed IR (plus ``entry``
-    and ``options_key``) is fingerprinted first and a hit skips emission
-    entirely; ``StencilCompiler.compile`` additionally fingerprints the
-    *unlowered* module so hits skip the pass pipeline too.
+    Always emits: kernels are cached one level up, on the *unlowered*
+    module's fingerprint (``StencilCompiler.compile``, so a hit skips the
+    pass pipeline too) and per request in the compile service.
     """
-    fingerprint = None
-    if cache is not None:
-        from repro.codegen.cache import module_fingerprint
-
-        fingerprint = module_fingerprint(module, entry, options_key)
-        kernel = cache.get(fingerprint)
-        if kernel is not None:
-            return kernel
     namespace = compile_module(module)
     if entry not in namespace:
         raise BackendError(f"module defines no function {entry!r}")
-    kernel = CompiledKernel(namespace["__source__"], namespace, entry)
-    if cache is not None and fingerprint is not None:
-        cache.put(fingerprint, kernel)
-    return kernel
+    return CompiledKernel(namespace["__source__"], namespace, entry)

@@ -68,9 +68,6 @@ class CompileOptions:
         Consult the process-wide compiled-kernel cache
         (:mod:`repro.codegen.cache`) in :meth:`StencilCompiler.compile`;
         a hit skips the whole pass pipeline and emission.
-    verify_each:
-        Run the IR verifier between passes (on by default; benchmarks
-        may disable it to measure pure compile time).
     check_level:
         Static-analysis gating (:mod:`repro.analysis`): ``"off"`` (the
         default) runs no semantic checks, ``"after-pipeline"`` analyzes
@@ -118,7 +115,6 @@ class CompileOptions:
     parallel: bool = False
     opt_level: int = 2
     use_cache: bool = True
-    verify_each: bool = True
     check_level: str = "off"
     validate_passes: bool = False
     verify_engine: Optional[str] = None
@@ -233,7 +229,6 @@ class StencilCompiler:
                 fail_fast=True, engine=o.verify_engine
             )
         pm = PassManager(
-            verify_each=o.verify_each,
             gate=gate,
             gate_each=o.check_level == "after-every-pass",
             validator=validator,
@@ -268,12 +263,15 @@ class StencilCompiler:
         skip_gate: bool = False,
         skip_validation: bool = False,
     ) -> ModuleOp:
-        """Run the transformation pipeline in place; returns the module."""
+        """Run the transformation pipeline; returns the lowered module.
+
+        Use the return value: a pass manager that restores IR snapshots
+        (the resilient driver's) hands back a different module object.
+        """
         self.pass_manager = self.build_pipeline(
             skip_gate=skip_gate, skip_validation=skip_validation
         )
-        self.pass_manager.run(module)
-        return module
+        return self.pass_manager.run(module)
 
     def compile(self, module: ModuleOp, entry: str = "kernel") -> CompiledKernel:
         """Lower and compile; the module is consumed (transformed).
@@ -324,7 +322,7 @@ class StencilCompiler:
             and cert.covers_gate(o.check_level)
         )
         skip_tv = o.validate_passes and cert is not None and cert.validated
-        self.lower(module, skip_gate=skip_gate, skip_validation=skip_tv)
+        module = self.lower(module, skip_gate=skip_gate, skip_validation=skip_tv)
         kernel = compile_function(module, entry)
         parallel_clean = None
         if o.parallel:

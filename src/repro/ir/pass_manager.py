@@ -1,8 +1,8 @@
 """Compiler passes and the pass manager.
 
 A :class:`Pass` transforms a module in place; the :class:`PassManager`
-runs a pipeline of them, optionally verifying the IR between passes and
-recording wall-clock timings (useful for the compile-time numbers in
+runs a pipeline of them, verifying the IR between passes and recording
+wall-clock timings (useful for the compile-time numbers in
 EXPERIMENTS.md).
 """
 
@@ -32,9 +32,8 @@ class Pass:
 class PassManager:
     """Runs a pipeline of passes over a module.
 
-    With ``verify_each=True`` (the default) the structural verifier runs
-    after every pass, so a pass that corrupts use-def chains fails fast
-    with the pass name attached.
+    The structural verifier always runs after every pass, so a pass that
+    corrupts use-def chains fails fast with the pass name attached.
 
     An optional *gate* — any ``callable(module, after_pass=...)``, in
     practice an :class:`~repro.analysis.analyzer.AnalysisGate` — runs the
@@ -63,13 +62,11 @@ class PassManager:
     def __init__(
         self,
         passes: Sequence[Pass] = (),
-        verify_each: bool = True,
         gate=None,
         gate_each: bool = False,
         validator=None,
     ) -> None:
         self.passes: List[Pass] = list(passes)
-        self.verify_each = verify_each
         self.gate = gate
         self.gate_each = gate_each
         self.validator = validator
@@ -115,14 +112,13 @@ class PassManager:
         start = time.perf_counter()
         pass_.run(module)
         self._record(pass_.name, time.perf_counter() - start)
-        if self.verify_each:
-            try:
-                maybe_inject("pipeline.verify", pass_name=pass_.name)
-                verify(module)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"IR verification failed after pass {pass_.name!r}: {exc}"
-                ) from exc
+        try:
+            maybe_inject("pipeline.verify", pass_name=pass_.name)
+            verify(module)
+        except Exception as exc:
+            raise RuntimeError(
+                f"IR verification failed after pass {pass_.name!r}: {exc}"
+            ) from exc
         if self.validator is not None:
             self._run_validator(module, pass_.name)
         if self.gate is not None and self.gate_each:

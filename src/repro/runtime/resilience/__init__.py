@@ -73,7 +73,6 @@ _LAZY = {
     ),
     "ExecutionResult": ("repro.runtime.resilience.execution", "ExecutionResult"),
     "execute_kernel": ("repro.runtime.resilience.execution", "execute_kernel"),
-    "guarded_compile": ("repro.runtime.resilience.execution", "guarded_compile"),
 }
 
 __all__ = [

@@ -1,7 +1,14 @@
 """The resilient pipeline driver: snapshot-retry, degrade, never die.
 
-:class:`ResilientCompiler` wraps the :class:`~repro.core.pipeline
-.StencilCompiler` flow with three recovery layers:
+:class:`ResilientCompiler` adds a recovery policy around
+:meth:`StencilCompiler.compile <repro.core.pipeline.StencilCompiler
+.compile>`. Every attempt is one call of that shared verified-compile
+sequence (certificate memo, lowering, emission, schedule stamps,
+parallel certification) on a freshly parsed copy of the pristine
+module, with the kernel cache bypassed so every pipeline fault site
+stays exercised. Kernels compiled here are therefore certified for
+multi-threaded wavefront dispatch exactly like the solvers' kernels.
+The policy has three layers:
 
 1. **Snapshot retry** — :class:`ResilientPassManager` prints the IR after
    every successful pass; when a pass (or the verifier, the analysis
@@ -102,7 +109,6 @@ class ResilientPassManager(PassManager):
         """Adopt an existing manager's pipeline, hooks and settings."""
         return cls(
             pm.passes,
-            verify_each=pm.verify_each,
             gate=pm.gate,
             gate_each=pm.gate_each,
             validator=pm.validator,
@@ -140,6 +146,20 @@ class ResilientPassManager(PassManager):
         raise AssertionError("unreachable")  # pragma: no cover
 
 
+class _RetryingCompiler(StencilCompiler):
+    """:class:`StencilCompiler` whose pipeline is a
+    :class:`ResilientPassManager` (``retry`` holds its settings)."""
+
+    def __init__(self, options: CompileOptions, **retry) -> None:
+        super().__init__(options)
+        self._retry = retry
+
+    def build_pipeline(self, *args, **kwargs) -> PassManager:
+        return ResilientPassManager.from_manager(
+            super().build_pipeline(*args, **kwargs), **self._retry
+        )
+
+
 def degradation_chain(
     options: CompileOptions,
 ) -> Iterator[Tuple[str, CompileOptions]]:
@@ -169,9 +189,11 @@ class ResilientCompiler:
     ----------
     options:
         The requested configuration (the head of the degradation chain).
-        The driver always runs the pipeline itself — the process-wide
-        kernel cache is not consulted, so every fault site is actually
-        exercised.
+        ``use_cache`` is ignored: the process-wide kernel cache is never
+        consulted, so every fault site is actually exercised. The
+        certificate memo is consulted and widened as in every
+        :meth:`StencilCompiler.compile`: a fingerprint already verified
+        skips the analysis gate and the translation validator.
     max_retries:
         Per-pass snapshot retries *and* whole-attempt retries per chain
         step *and* execution retries in :meth:`compile_and_run`.
@@ -180,15 +202,6 @@ class ResilientCompiler:
     watchdog_timeout:
         Wall-clock budget per kernel execution in
         :meth:`compile_and_run`; ``None`` disables the watchdog.
-    use_certificates:
-        Consult (and widen) the process-wide certificate memo
-        (:mod:`repro.codegen.certificates`) per attempt: a fingerprint
-        already certified clean skips the analysis gate and the
-        translation validator, and a clean verified attempt records its
-        certificate — so the compile service's warm path stays cheap
-        with ``validate_passes=True`` even across processes (the memo's
-        disk tier). The *kernel* cache is still never consulted, so
-        every pipeline fault site stays exercised.
     """
 
     def __init__(
@@ -197,13 +210,11 @@ class ResilientCompiler:
         max_retries: int = 2,
         backoff_base: float = 0.005,
         watchdog_timeout: Optional[float] = None,
-        use_certificates: bool = True,
     ) -> None:
         self.options = options or CompileOptions()
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.watchdog_timeout = watchdog_timeout
-        self.use_certificates = use_certificates
         self._pristine: Optional[str] = None
         #: The :class:`CompileOptions` that finally produced a kernel
         #: (``None`` until :meth:`compile` succeeds, or when the
@@ -284,42 +295,13 @@ class ResilientCompiler:
         entry: str,
         report: RecoveryReport,
     ):
-        from repro.codegen.executor import compile_function
-
-        work = parse_module(pristine)
-        skip_gate = skip_tv = False
-        memo = fingerprint = None
-        wants_verification = opts.check_level != "off" or opts.validate_passes
-        if self.use_certificates and wants_verification:
-            from repro.codegen.cache import module_fingerprint
-            from repro.codegen.certificates import default_memo
-
-            fingerprint = module_fingerprint(work, entry, opts.cache_key())
-            memo = default_memo()
-            cert = memo.get(fingerprint)
-            if cert is not None:
-                skip_gate = (
-                    opts.check_level != "off"
-                    and cert.covers_gate(opts.check_level)
-                )
-                skip_tv = opts.validate_passes and cert.validated
-        pm = ResilientPassManager.from_manager(
-            StencilCompiler(opts).build_pipeline(
-                skip_gate=skip_gate, skip_validation=skip_tv
-            ),
+        compiler = _RetryingCompiler(
+            dataclasses.replace(opts, use_cache=False),
             max_retries=self.max_retries,
             backoff_base=self.backoff_base,
             report=report,
         )
-        lowered = pm.run(work)
-        kernel = compile_function(lowered, entry)
-        if memo is not None:
-            memo.record(
-                fingerprint,
-                check_level=None if skip_gate else opts.check_level,
-                validated=opts.validate_passes and not skip_tv,
-            )
-        return kernel
+        return compiler.compile(parse_module(pristine), entry)
 
     # ---- execution ------------------------------------------------------
 

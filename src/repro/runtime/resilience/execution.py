@@ -1,7 +1,7 @@
 """Guarded kernel execution: structured diagnostics, never raw tracebacks.
 
-Wraps the three executor failure modes — missing entry point, a kernel
-raising mid-execution, and a watchdog timeout — into RS-coded
+Wraps the two execution failure modes — a kernel raising mid-execution
+and a watchdog timeout — into RS-coded
 :class:`~repro.analysis.diagnostics.Diagnostic` values carried by an
 :class:`ExecutionResult`, so callers branch on data instead of catching
 arbitrary exceptions.
@@ -10,11 +10,9 @@ arbitrary exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.codegen.executor import CompiledKernel, compile_function
-from repro.codegen.python_backend import BackendError
 from repro.runtime.resilience.watchdog import ExecutionTimeout, call_with_watchdog
 
 
@@ -29,24 +27,6 @@ class ExecutionResult:
     @property
     def ok(self) -> bool:
         return self.diagnostic is None and self.error is None
-
-
-def guarded_compile(
-    module, entry: str = "kernel"
-) -> Tuple[Optional[CompiledKernel], Optional[Diagnostic]]:
-    """``compile_function`` that degrades failures to an RS005 diagnostic."""
-    try:
-        return compile_function(module, entry), None
-    except BackendError as exc:
-        return None, Diagnostic(
-            "RS005", f"backend rejected entry point {entry!r}: {exc}"
-        )
-    except Exception as exc:  # noqa: BLE001 - degrade, never crash
-        return None, Diagnostic(
-            "RS005",
-            f"compiling entry {entry!r} failed: "
-            f"{type(exc).__name__}: {exc}",
-        )
 
 
 def execute_kernel(

@@ -37,9 +37,13 @@ bounded thread pool. The robustness machinery, in request order:
 
 Each cold compile runs through the PR-5
 :class:`~repro.runtime.resilience.driver.ResilientCompiler` (snapshot
-retries, degradation chain, interpreter fallback), now
-certificate-memo-aware, so with ``validate_passes=True`` a fingerprint
-verified once — even by another process, via the memo's disk tier — is
+retries, degradation chain, interpreter fallback), whose every attempt
+is the shared :meth:`StencilCompiler.compile
+<repro.core.pipeline.StencilCompiler.compile>` sequence. Service
+kernels therefore carry schedule stamps and, for ``parallel`` options,
+the parallel-safety certificate that multi-threaded wavefront dispatch
+requires; and with ``validate_passes=True`` a fingerprint verified once
+— even by another process, via the certificate memo's disk tier — is
 never re-verified. The per-request
 :class:`~repro.runtime.resilience.report.RecoveryReport` rides on the
 response; the service-level view is a

@@ -153,7 +153,6 @@ class TestCacheKeyAudit:
         "parallel": True,
         "opt_level": 0,
         "use_cache": False,
-        "verify_each": False,
         "check_level": "after-pipeline",
         "validate_passes": True,
         "verify_engine": "symbolic",
@@ -180,7 +179,7 @@ class TestCacheKeyAudit:
         assert "check_level" in CompileOptions().cache_key()
 
     def test_describe_is_not_the_key(self):
-        # describe() is lossy (it drops verify_each/check_level); the
+        # describe() is lossy (it drops check_level); the
         # fingerprint must not be built from it.
         a = CompileOptions(check_level="off")
         b = CompileOptions(check_level="after-pipeline")

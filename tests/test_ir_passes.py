@@ -192,15 +192,3 @@ class TestPassManager:
         with pytest.raises(RuntimeError, match="after pass 'corrupt'"):
             pm.run(ModuleOp.create())
 
-    def test_verify_each_off(self):
-        class Corrupt(Pass):
-            name = "corrupt"
-
-            def run(self, module):
-                a = create_operation("test.def", result_types=[f64])
-                use = create_operation("test.use", [a.result()])
-                module.body.append(use)
-                module.body.append(a)
-
-        pm = PassManager([Corrupt()], verify_each=False)
-        pm.run(ModuleOp.create())  # no exception

@@ -142,14 +142,6 @@ class TestDiskPersistence:
 
 
 class TestCompileFunctionIntegration:
-    def test_cache_kwarg_short_circuits_emission(self):
-        cache = KernelCache()
-        module = _lowered_module()
-        k1 = compile_function(module, cache=cache, options_key="k")
-        k2 = compile_function(module, cache=cache, options_key="k")
-        assert k2 is k1
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
     def test_missing_entry_raises_backend_error(self):
         module = _lowered_module()
         with pytest.raises(BackendError, match="no_such_fn"):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.codegen.executor import compile_function
 from repro.core import frontend
 from repro.core.pipeline import CompileOptions, StencilCompiler
 from repro.core.stencil import gauss_seidel_5pt_2d
@@ -14,11 +15,7 @@ from repro.runtime.resilience import (
     clear_plan,
     injected,
 )
-from repro.runtime.resilience.execution import (
-    ExecutionResult,
-    execute_kernel,
-    guarded_compile,
-)
+from repro.runtime.resilience.execution import ExecutionResult, execute_kernel
 from repro.runtime.resilience.watchdog import (
     ExecutionTimeout,
     TimeoutDiagnostic,
@@ -54,36 +51,15 @@ class _Hanging:
         time.sleep(10.0)
 
 
-class TestGuardedCompile:
-    def test_clean_compile(self):
-        kernel, diag = guarded_compile(_lowered_module())
-        assert diag is None
-        kernel.run(*_args())
-
-    def test_missing_entry_is_rs005_not_a_crash(self):
-        kernel, diag = guarded_compile(_lowered_module(), entry="nope")
-        assert kernel is None
-        assert diag.code == "RS005"
-        assert diag.severity == "error"
-        assert "nope" in diag.message
-
-    def test_injected_compile_fault_is_rs005(self):
-        with injected(FaultPlan([FaultSpec("executor.compile", at=1)])):
-            kernel, diag = guarded_compile(_lowered_module())
-        assert kernel is None
-        assert diag.code == "RS005"
-        assert "injected fault" in diag.message
-
-
 class TestExecuteKernel:
     def test_clean_execution(self):
-        kernel, _ = guarded_compile(_lowered_module())
+        kernel = compile_function(_lowered_module())
         result = execute_kernel(kernel, *_args())
         assert result.ok
         assert len(result.values) == 1
 
     def test_kernel_raising_mid_execution_is_rs005(self):
-        kernel, _ = guarded_compile(_lowered_module())
+        kernel = compile_function(_lowered_module())
         with injected(FaultPlan([FaultSpec("executor.execute", at=1)])):
             result = execute_kernel(kernel, *_args())
         assert not result.ok
@@ -93,7 +69,7 @@ class TestExecuteKernel:
         assert result.error is not None
 
     def test_bad_arguments_degrade_to_rs005(self):
-        kernel, _ = guarded_compile(_lowered_module())
+        kernel = compile_function(_lowered_module())
         result = execute_kernel(kernel)  # no arguments at all
         assert not result.ok
         assert result.diagnostic.code == "RS005"
@@ -111,7 +87,7 @@ class TestExecuteKernel:
         assert info.elapsed_seconds >= 0.05
 
     def test_injected_hang_trips_watchdog(self):
-        kernel, _ = guarded_compile(_lowered_module())
+        kernel = compile_function(_lowered_module())
 
         class Wrapped:
             entry = "kernel"
